@@ -44,19 +44,9 @@ def _build_rows_1d(options: dict):
 
 
 def _build_eblow_1d(options: dict):
-    from dataclasses import replace
-
     from repro.core.onedim import EBlow1DConfig, EBlow1DPlanner
 
     config = EBlow1DConfig.ablated() if options.get("ablated") else EBlow1DConfig()
-    if options.get("deterministic"):
-        # Historically this dropped the fast-convergence ILP's 5-second
-        # wall-clock cap.  The flow is deterministic by default now (the ILP
-        # stops on a relative MIP gap instead of wall clock); the option is
-        # kept so existing specs — and their job hashes / store keys — stay
-        # valid, and it still guarantees no cap even if a caller's config
-        # reintroduced one.
-        config.convergence = replace(config.convergence, time_limit=None)
     return EBlow1DPlanner(config)
 
 
@@ -96,8 +86,6 @@ def _build_sa_2d_batched(options: dict):
 def _build_eblow_2d(options: dict):
     from repro.core.twodim import EBlow2DConfig, EBlow2DPlanner
 
-    # "deterministic" is accepted for symmetry with eblow-1d; the 2D flow is
-    # already reproducible (seeded annealing, no wall-clock cut-offs).
     return EBlow2DPlanner(
         EBlow2DConfig(
             seed=int(options.get("seed", 0)),
@@ -122,10 +110,7 @@ def _build_ilp_2d(options: dict):
 def _ilp_config(options: dict):
     from repro.baselines import ExactILPConfig
 
-    return ExactILPConfig(
-        time_limit=options.get("time_limit", 300.0),
-        backend=options.get("backend", "scipy"),
-    )
+    return ExactILPConfig(time_limit=options.get("time_limit", 300.0))
 
 
 _ENGINE_FIELD = OptionField(
@@ -226,7 +211,6 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
                 # wall-clock cap), so the whole flow is reproducible across
                 # machines and load.
                 deterministic=True,
-                supports_warm_start=True,
                 event_types=("stage", "stage_done", "lp_solve", "iteration"),
             ),
             schema=OptionSchema(
@@ -236,15 +220,6 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
                         type="bool",
                         default=False,
                         description="run E-BLOW-0 (no fast ILP convergence, no post-insertion)",
-                    ),
-                    OptionField(
-                        name="deterministic",
-                        type="bool",
-                        default=False,
-                        description=(
-                            "kept for compatibility: the flow is deterministic "
-                            "by default now (gap-based ILP stop, no wall clock)"
-                        ),
                     ),
                 )
             ),
@@ -322,12 +297,6 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
             schema=OptionSchema(
                 fields=(
                     _SEED_FIELD,
-                    OptionField(
-                        name="deterministic",
-                        type="bool",
-                        default=True,
-                        description="accepted for symmetry with eblow-1d (the 2D flow is already reproducible)",
-                    ),
                     _ENGINE_FIELD,
                     _CHAINS_FIELD,
                 )
@@ -338,7 +307,7 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
     register(
         PlannerHandle(
             name="ilp-1d",
-            description="exact 1DOSP ILP (options: time_limit, backend)",
+            description="exact 1DOSP ILP (option: time_limit)",
             capabilities=PlannerCapabilities(
                 kind="1D",
                 deterministic=False,  # time-limited MILP returns its incumbent
@@ -352,12 +321,6 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
                         default=300.0,
                         description="MILP wall-clock budget in seconds",
                     ),
-                    OptionField(
-                        name="backend",
-                        type="str",
-                        default="scipy",
-                        description="MILP backend",
-                    ),
                 )
             ),
             builder=_build_ilp_1d,
@@ -366,7 +329,7 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
     register(
         PlannerHandle(
             name="ilp-2d",
-            description="exact 2DOSP ILP (options: time_limit, backend)",
+            description="exact 2DOSP ILP (option: time_limit)",
             capabilities=PlannerCapabilities(
                 kind="2D",
                 deterministic=False,
@@ -379,12 +342,6 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
                         type="float",
                         default=300.0,
                         description="MILP wall-clock budget in seconds",
-                    ),
-                    OptionField(
-                        name="backend",
-                        type="str",
-                        default="scipy",
-                        description="MILP backend",
                     ),
                 )
             ),

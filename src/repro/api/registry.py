@@ -224,7 +224,6 @@ class PlannerCapabilities:
     deterministic: bool = True
     supports_engine: bool = False
     supports_chains: bool = False
-    supports_warm_start: bool = False
     supports_time_limit: bool = False
     event_types: tuple[str, ...] = ()
 
@@ -234,7 +233,6 @@ class PlannerCapabilities:
             "deterministic": self.deterministic,
             "supports_engine": self.supports_engine,
             "supports_chains": self.supports_chains,
-            "supports_warm_start": self.supports_warm_start,
             "supports_time_limit": self.supports_time_limit,
             "event_types": list(self.event_types),
         }
@@ -246,7 +244,6 @@ class PlannerCapabilities:
             deterministic=bool(data.get("deterministic", True)),
             supports_engine=bool(data.get("supports_engine", False)),
             supports_chains=bool(data.get("supports_chains", False)),
-            supports_warm_start=bool(data.get("supports_warm_start", False)),
             supports_time_limit=bool(data.get("supports_time_limit", False)),
             event_types=tuple(data.get("event_types", ())),
         )

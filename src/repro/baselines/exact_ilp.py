@@ -28,7 +28,6 @@ class ExactILPConfig:
     """Configuration shared by the exact planners."""
 
     time_limit: float | None = 300.0
-    backend: str = "scipy"  # "scipy" (HiGHS) or "bnb" (from-scratch branch & bound)
 
 
 class ExactILP1DPlanner:
@@ -43,9 +42,7 @@ class ExactILP1DPlanner:
             raise ValidationError("ExactILP1DPlanner expects a 1D instance")
         start = time.perf_counter()
         program, index = build_full_ilp(instance)
-        solution = solve_ilp(
-            program, backend=self.config.backend, time_limit=self.config.time_limit
-        )
+        solution = solve_ilp(program, time_limit=self.config.time_limit)
         elapsed = time.perf_counter() - start
         plan = StencilPlan(instance=instance)
         if solution.status.has_solution:
@@ -88,9 +85,7 @@ class ExactILP2DPlanner:
             raise ValidationError("ExactILP2DPlanner expects a 2D instance")
         start = time.perf_counter()
         program, index = build_full_ilp_2d(instance)
-        solution = solve_ilp(
-            program, backend=self.config.backend, time_limit=self.config.time_limit
-        )
+        solution = solve_ilp(program, time_limit=self.config.time_limit)
         elapsed = time.perf_counter() - start
         plan = StencilPlan(instance=instance)
         if solution.status.has_solution:

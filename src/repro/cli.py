@@ -184,13 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="supervised dispatch attempts per job before quarantine "
         "(implies --supervise; default 3)",
     )
-    batch.add_argument(
-        "--best-effort",
-        action="store_true",
-        help="keep E-BLOW's wall-clock ILP cap (faster under load, but plans may "
-        "vary between runs; the default deterministic mode drops the cap so "
-        "batch plans are bit-identical to serial runs)",
-    )
     batch.add_argument("--no-cache", action="store_true", help="bypass the result store")
     batch.add_argument("--cache-dir", default=None, help="result-store root (default ~/.cache/eblow)")
     batch.add_argument("--manifest", default=None, help="write a JSONL telemetry manifest here")
@@ -528,8 +521,6 @@ def _cmd_planners(args: argparse.Namespace) -> int:
             flags.append("engine=")
         if caps.supports_chains:
             flags.append("chains=")
-        if caps.supports_warm_start:
-            flags.append("warm-start")
         if caps.supports_time_limit:
             flags.append("time-limit")
         if caps.event_types:
@@ -609,16 +600,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _batch_spec(name: str, deterministic: bool):
-    """Planner spec for a batch column (E-BLOW gets reproducible-plan mode)."""
-    from repro.runtime import PlannerSpec
-
-    options = {}
-    if deterministic and name.lower().replace("e-blow", "eblow").startswith("eblow"):
-        options["deterministic"] = True
-    return PlannerSpec(name, options)
-
-
 def _batch_store(args):
     from repro.runtime import ResultStore
 
@@ -695,10 +676,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except ValidationError as exc:
         print(f"batch: {exc}", file=sys.stderr)
         return 2
-    planners = {
-        name: _batch_spec(name, deterministic=not args.best_effort)
-        for name in (args.planner or ["eblow"])
-    }
+    planners = {name: PlannerSpec(name) for name in (args.planner or ["eblow"])}
     scale = args.scale if args.scale is not None else default_scale()
 
     broker_mode = args.broker is not None

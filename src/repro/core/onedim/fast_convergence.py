@@ -10,14 +10,13 @@ sit near 0 (Fig. 6), the resulting ILP is tiny.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.onedim.formulation import build_simplified_formulation
 from repro.core.onedim.successive_rounding import RoundingState
 from repro.core.profits import compute_profits
 from repro.model import OSPInstance
 from repro.solver import solve_ilp
-from repro.solver.result import SolveStatus
 
 __all__ = ["FastConvergenceConfig", "fast_ilp_convergence"]
 
@@ -28,16 +27,11 @@ class FastConvergenceConfig:
 
     lower_threshold: float = 0.1  # L_th
     upper_threshold: float = 0.9  # U_th
-    ilp_backend: str = "scipy"
-    # The hand-over ILP stops on the *relative MIP gap*, not a wall-clock
-    # cap: a near-optimal assignment is enough (post-swap / post-insertion
-    # refine the result anyway), and a gap criterion is deterministic — the
-    # same instance yields the same plan regardless of machine load.  The
-    # old 5-second default cap pinned four benchmark cells at exactly the
-    # cap while HiGHS sat in its root node; at a 3 % gap those cells solve
-    # in 0.5–3 s with equal-or-better writing times.  ``time_limit`` remains
-    # as an opt-in safety valve (it reintroduces load-dependence).
-    time_limit: float | None = None
+    # The hand-over ILP stops on the *relative MIP gap* only, never on a
+    # wall-clock cap: a near-optimal assignment is enough (post-swap /
+    # post-insertion refine the result anyway), and a gap criterion is
+    # deterministic — the same instance yields the same plan regardless of
+    # machine load.
     mip_rel_gap: float | None = 0.03
     # Safety valve: if more than this many variables stay undecided, only the
     # highest-LP-value ones are kept in the ILP (keeps the model tractable).
@@ -97,23 +91,11 @@ def fast_ilp_convergence(
     }
     for key, idx in formulation.assign_index.items():
         if key not in undecided:
-            variable = formulation.program.variables[idx]
-            formulation.program.variables[idx] = type(variable)(
-                name=variable.name,
-                index=variable.index,
-                lower=0.0,
-                upper=0.0,
-                is_integer=variable.is_integer,
-            )
-    solution = solve_ilp(
-        formulation.program,
-        backend=config.ilp_backend,
-        time_limit=config.time_limit,
-        mip_rel_gap=config.mip_rel_gap,
-    )
+            variables = formulation.program.variables
+            variables[idx] = replace(variables[idx], lower=0.0, upper=0.0)
+    solution = solve_ilp(formulation.program, mip_rel_gap=config.mip_rel_gap)
     if not solution.status.has_solution:
         return state
-    state.stats_last_ilp_variables = len(keep)  # type: ignore[attr-defined]
 
     for (i, j), idx in sorted(
         keep.items(), key=lambda item: -solution.values[item[1]]

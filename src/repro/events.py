@@ -45,8 +45,8 @@ __all__ = [
 #: ``started``     a planning run began — ``planner``, ``case``
 #: ``stage``       a pipeline stage began — ``name`` (e.g. ``"annealing"``)
 #: ``stage_done``  a pipeline stage finished — ``name``, ``seconds``
-#: ``lp_solve``    one LP relaxation solved — ``seconds``, ``warm``,
-#:                 ``unsolved``
+#: ``lp_solve``    one LP relaxation solved — ``seconds``, ``unsolved``,
+#:                 ``variables``
 #: ``iteration``   one successive-rounding iteration — ``iteration``,
 #:                 ``assigned``, ``unsolved``
 #: ``temperature`` one annealing temperature step — ``temperature``, ``cost``,

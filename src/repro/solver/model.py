@@ -1,14 +1,8 @@
 """A small linear/integer-programming model builder.
 
 The paper solves its formulations with GUROBI; this library replaces that
-proprietary dependency with a thin, dependency-light modelling layer plus
-interchangeable backends:
-
-* :mod:`repro.solver.scipy_backend` — SciPy's HiGHS ``linprog``/``milp``
-  (fast, used by default),
-* :mod:`repro.solver.simplex` — a from-scratch dense two-phase simplex,
-* :mod:`repro.solver.branch_and_bound` — a from-scratch ILP branch & bound
-  on top of either LP backend.
+proprietary dependency with a thin, dependency-light modelling layer solved
+by SciPy's HiGHS ``linprog``/``milp`` (:mod:`repro.solver.scipy_backend`).
 
 The modelling layer intentionally supports exactly what the E-BLOW
 formulations (3), (4), and (7) need: bounded continuous/binary variables,
@@ -18,12 +12,12 @@ linear constraints, and a linear objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from repro.errors import ValidationError
 
-__all__ = ["Variable", "Constraint", "LinearProgram", "LinearExpr"]
+__all__ = ["Variable", "Constraint", "LinearProgram"]
 
 _SENSES = ("<=", ">=", "==")
 
@@ -73,32 +67,6 @@ class Constraint:
         return abs(lhs - self.rhs) <= tol
 
 
-class LinearExpr:
-    """A mutable linear expression used for incremental model building."""
-
-    __slots__ = ("terms", "constant")
-
-    def __init__(self) -> None:
-        self.terms: dict[int, float] = {}
-        self.constant: float = 0.0
-
-    def add(self, var_index: int, coefficient: float) -> "LinearExpr":
-        """Add ``coefficient * variable`` to the expression."""
-        if coefficient:
-            self.terms[var_index] = self.terms.get(var_index, 0.0) + coefficient
-            if self.terms[var_index] == 0.0:
-                del self.terms[var_index]
-        return self
-
-    def add_constant(self, value: float) -> "LinearExpr":
-        """Add a constant offset to the expression."""
-        self.constant += value
-        return self
-
-    def items(self) -> Iterable[tuple[int, float]]:
-        return self.terms.items()
-
-
 class LinearProgram:
     """A linear (or mixed-integer) program in natural form.
 
@@ -144,46 +112,17 @@ class LinearProgram:
     def num_constraints(self) -> int:
         return len(self.constraints)
 
-    @property
-    def integer_indices(self) -> list[int]:
-        """Indices of the integer-constrained variables."""
-        return [v.index for v in self.variables if v.is_integer]
-
-    def relaxed(self) -> "LinearProgram":
-        """A copy of the program with all integrality constraints dropped."""
-        lp = LinearProgram(name=f"{self.name}-relaxed", maximize=self.maximize)
-        for v in self.variables:
-            lp.add_variable(v.name, v.lower, v.upper, is_integer=False)
-        lp.constraints = list(self.constraints)
-        lp._objective = dict(self._objective)
-        lp.objective_constant = self.objective_constant
-        return lp
-
-    def with_bounds(self, bounds: Mapping[int, tuple[float, float]]) -> "LinearProgram":
-        """A copy of the program with some variable bounds overridden."""
-        lp = LinearProgram(name=self.name, maximize=self.maximize)
-        for v in self.variables:
-            lo, hi = bounds.get(v.index, (v.lower, v.upper))
-            lp.add_variable(v.name, lo, hi, is_integer=v.is_integer)
-        lp.constraints = list(self.constraints)
-        lp._objective = dict(self._objective)
-        lp.objective_constant = self.objective_constant
-        return lp
-
     # ------------------------------------------------------------------ #
     # Constraints and objective
     # ------------------------------------------------------------------ #
     def add_constraint(
         self,
-        coefficients: Mapping[int, float] | LinearExpr,
+        coefficients: Mapping[int, float],
         sense: str,
         rhs: float,
         name: str = "",
     ) -> Constraint:
         """Add ``sum(coeff * var) sense rhs`` and return the constraint."""
-        if isinstance(coefficients, LinearExpr):
-            rhs = rhs - coefficients.constant
-            coefficients = coefficients.terms
         for idx in coefficients:
             if idx < 0 or idx >= len(self.variables):
                 raise ValidationError(
@@ -200,14 +139,11 @@ class LinearProgram:
 
     def set_objective(
         self,
-        coefficients: Mapping[int, float] | LinearExpr,
+        coefficients: Mapping[int, float],
         maximize: bool | None = None,
         constant: float = 0.0,
     ) -> None:
         """Set the linear objective."""
-        if isinstance(coefficients, LinearExpr):
-            constant += coefficients.constant
-            coefficients = coefficients.terms
         for idx in coefficients:
             if idx < 0 or idx >= len(self.variables):
                 raise ValidationError(f"objective references unknown variable index {idx}")

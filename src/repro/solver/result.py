@@ -1,10 +1,9 @@
-"""Solution objects returned by the math-programming backends."""
+"""Solution objects returned by the HiGHS solver wrappers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 __all__ = ["SolveStatus", "Solution"]
 
@@ -39,9 +38,9 @@ class Solution:
         Variable values indexed like the program's variables (empty when no
         solution is available).
     iterations:
-        Backend-specific iteration count (simplex pivots, B&B nodes, ...).
+        HiGHS iteration count (LP iterations, or MILP branch & bound nodes).
     metadata:
-        Free-form diagnostic information from the backend.
+        Free-form diagnostic information from HiGHS.
     """
 
     status: SolveStatus
@@ -49,13 +48,3 @@ class Solution:
     values: list[float] = field(default_factory=list)
     iterations: int = 0
     metadata: dict = field(default_factory=dict)
-
-    def value_of(self, index: int) -> float:
-        """Value of variable ``index`` (0.0 when no solution is stored)."""
-        if not self.values:
-            return 0.0
-        return self.values[index]
-
-    def values_by_name(self, names: Sequence[str]) -> dict[str, float]:
-        """Map variable names to values (helper for debugging and tests)."""
-        return {name: self.value_of(i) for i, name in enumerate(names)}

@@ -1,4 +1,6 @@
-"""Public-API snapshot: the exported surface of ``repro`` and ``repro.api``.
+"""Public-API snapshot: the exported surface of ``repro``, ``repro.api``,
+``repro.runtime`` and ``repro.solver``, plus the declared planner
+capabilities and option names.
 
 These lists are the compatibility contract.  A failure here means the public
 surface changed — either restore the symbol or update the snapshot *and* the
@@ -120,6 +122,58 @@ def test_repro_runtime_export_snapshot():
     import repro.runtime
 
     assert sorted(repro.runtime.__all__) == RUNTIME_EXPORTS
+
+
+SOLVER_EXPORTS = sorted(
+    [
+        "LinearProgram",
+        "Variable",
+        "Constraint",
+        "Solution",
+        "SolveStatus",
+        "solve_lp",
+        "solve_ilp",
+        "solve_lp_arrays",
+        "solve_lp_scipy",
+        "solve_milp_scipy",
+    ]
+)
+
+CAPABILITY_FIELDS = [
+    "kind",
+    "deterministic",
+    "supports_engine",
+    "supports_chains",
+    "supports_time_limit",
+    "event_types",
+]
+
+PLANNER_OPTIONS = {
+    "greedy-1d": ["by_density"],
+    "heur-1d": ["exchange_passes", "refinement_threshold"],
+    "rows-1d": ["refinement_threshold"],
+    "eblow-1d": ["ablated"],
+    "greedy-2d": ["by_density"],
+    "sa-2d": ["seed", "engine", "chains"],
+    "sa-2d-batched": ["seed", "chains"],
+    "eblow-2d": ["seed", "engine", "chains"],
+    "ilp-1d": ["time_limit"],
+    "ilp-2d": ["time_limit"],
+}
+
+
+def test_repro_solver_export_snapshot():
+    import repro.solver
+
+    assert sorted(repro.solver.__all__) == SOLVER_EXPORTS
+
+
+def test_planner_capability_and_option_snapshot():
+    from repro.api import PlannerCapabilities, get_handle
+
+    assert list(PlannerCapabilities().to_dict()) == CAPABILITY_FIELDS
+    for name, options in PLANNER_OPTIONS.items():
+        assert list(get_handle(name).schema.names) == options, name
 
 
 def test_every_exported_symbol_resolves():

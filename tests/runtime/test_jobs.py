@@ -136,21 +136,19 @@ class TestExecuteJob:
 
 class TestDeterministicMode:
     def test_default_flow_has_no_ilp_wall_clock_cap(self):
-        # The fast-convergence ILP stops on a relative MIP gap, never wall
-        # clock: the default flow is deterministic (same plan under any load)
-        # and cells can no longer pin at exactly the cap.
+        # The fast-convergence ILP stops on a relative MIP gap and has no
+        # wall-clock field at all: the flow is deterministic (same plan under
+        # any load) and cells can never pin at a cap.
         default = PlannerSpec("eblow-1d").build("1D")
-        assert default.config.convergence.time_limit is None
+        assert not hasattr(default.config.convergence, "time_limit")
         assert default.config.convergence.mip_rel_gap is not None
-        deterministic = PlannerSpec("eblow-1d", {"deterministic": True}).build("1D")
-        assert deterministic.config.convergence.time_limit is None
 
-    def test_accepted_as_noop_for_2d(self):
-        PlannerSpec("eblow-2d", {"deterministic": True}).build("2D")
+    @pytest.mark.parametrize("planner, kind", [("eblow-1d", "1D"), ("eblow-2d", "2D")])
+    def test_deterministic_option_rejected(self, planner, kind):
+        with pytest.raises(ValidationError, match="unknown option"):
+            PlannerSpec(planner, {"deterministic": True}).build(kind)
 
-    def test_changes_the_config_hash(self):
-        a = PlanJob(spec=PlannerSpec("eblow-1d"), case="1T-1", scale=1.0)
-        b = PlanJob(
-            spec=PlannerSpec("eblow-1d", {"deterministic": True}), case="1T-1", scale=1.0
-        )
-        assert a.config_hash != b.config_hash
+    @pytest.mark.parametrize("planner, kind", [("ilp-1d", "1D"), ("ilp-2d", "2D")])
+    def test_ilp_backend_option_rejected(self, planner, kind):
+        with pytest.raises(ValidationError, match="unknown option"):
+            PlannerSpec(planner, {"backend": "scipy"}).build(kind)

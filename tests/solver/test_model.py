@@ -1,11 +1,9 @@
 """Unit tests for the LP/ILP model builder."""
 
-import math
-
 import pytest
 
 from repro.errors import ValidationError
-from repro.solver import LinearExpr, LinearProgram
+from repro.solver import LinearProgram
 
 
 class TestVariables:
@@ -16,7 +14,7 @@ class TestVariables:
         assert lp.num_variables == 2
         assert lp.variables[x].upper == 10
         assert lp.variables[b].is_integer
-        assert lp.integer_indices == [b]
+        assert [v.is_integer for v in lp.variables] == [False, True]
 
     def test_rejects_inverted_bounds(self):
         lp = LinearProgram()
@@ -50,21 +48,6 @@ class TestConstraintsAndObjective:
         lp.set_objective({x: 2.0}, constant=5.0)
         assert lp.objective_value([3.0]) == pytest.approx(11.0)
 
-    def test_linear_expr(self):
-        lp = LinearProgram()
-        x = lp.add_variable("x")
-        y = lp.add_variable("y")
-        expr = LinearExpr().add(x, 1.0).add(y, 2.0).add(x, 1.0).add_constant(4.0)
-        lp.add_constraint(expr, "<=", 10.0)
-        # constant folded into rhs: x*2 + y*2 <= 6
-        constraint = lp.constraints[0]
-        assert dict(constraint.coefficients) == {x: 2.0, y: 2.0}
-        assert constraint.rhs == pytest.approx(6.0)
-
-    def test_zero_coefficients_dropped_from_expr(self):
-        expr = LinearExpr().add(0, 1.0).add(0, -1.0)
-        assert dict(expr.items()) == {}
-
 
 class TestFeasibilityAndCopies:
     def test_is_feasible_checks_bounds_and_integrality(self):
@@ -77,19 +60,3 @@ class TestFeasibilityAndCopies:
         assert not lp.is_feasible([1.0, 0.5])     # integrality violated
         assert not lp.is_feasible([4.0, 1.0])     # constraint violated
         assert not lp.is_feasible([1.0])          # wrong length
-
-    def test_relaxed_drops_integrality(self):
-        lp = LinearProgram()
-        lp.add_binary("b")
-        relaxed = lp.relaxed()
-        assert relaxed.integer_indices == []
-        assert lp.integer_indices == [0]
-
-    def test_with_bounds_overrides(self):
-        lp = LinearProgram()
-        x = lp.add_variable("x", 0, 10)
-        narrowed = lp.with_bounds({x: (2.0, 3.0)})
-        assert narrowed.variables[x].lower == 2.0
-        assert narrowed.variables[x].upper == 3.0
-        assert lp.variables[x].upper == 10
-        assert math.isinf(lp.variables[x].upper) is False
