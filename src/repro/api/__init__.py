@@ -6,7 +6,7 @@ One façade, one typed lifecycle, one event protocol:
   entry point (CLI, experiments, batch runtime, portfolio) is a thin
   client of,
 * :class:`PlanRequest` → :class:`PlanResult` — the serializable lifecycle
-  models unifying ``AlgorithmResult`` / ``JobResult`` / plan stats,
+  models; ``PlanResult`` is the one result type of every surface,
 * :class:`PlanEvent` + :func:`emitting` — the streaming progress protocol
   (see :mod:`repro.events`),
 * :class:`PlannerHandle` / :class:`PlannerCapabilities` /

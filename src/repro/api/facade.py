@@ -175,13 +175,13 @@ def submit(
     if store is not None:
         cached = store.get(job)
         if cached is not None:
-            return PlanResult.from_job_result(cached, timeout=request.timeout)
+            return cached
 
     events: list[PlanEvent] = []
 
     if not collect_events and on_event is None:
         # Nobody is listening: keep emission a true no-op on the hot paths.
-        job_result = execute_job(job)
+        result = execute_job(job)
     else:
         # The user callback is guarded separately from collection: a sink
         # that raises is dropped (the events.py contract), but the captured
@@ -195,8 +195,9 @@ def submit(
                 callback(event)
 
         with emitting(_sink):
-            job_result = execute_job(job)
+            result = execute_job(job)
 
-    if store is not None and job_result.ok:
-        store.put(job, job_result)
-    return PlanResult.from_job_result(job_result, events=events, timeout=request.timeout)
+    if store is not None and result.ok:
+        store.put(job, result)
+    result.events = events
+    return result

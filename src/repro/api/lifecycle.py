@@ -1,27 +1,27 @@
 """The typed plan lifecycle: ``PlanRequest → PlanResult``.
 
-One request model and one result model unify what used to be three
-overlapping shapes — the evaluation layer's ``AlgorithmResult``, the batch
-runtime's ``JobResult``, and the per-planner ``plan.stats`` dicts:
-
 * :class:`PlanRequest` is the serializable description of one planning run
   (what + how + bounds).  It converts losslessly to the batch runtime's
   :class:`~repro.runtime.jobs.PlanJob`, so its content-hash identity — and
   therefore the content-addressed result store — is exactly the pre-façade
   one: no cached plan is invalidated by the API layer.
-* :class:`PlanResult` carries everything any consumer needs: the paper's
-  three comparison columns, execution provenance (worker pid, attempts,
-  cache hit), the full serialized plan, the planner's telemetry ``extra``,
-  and the :class:`~repro.events.PlanEvent` stream captured during the run.
+* :class:`PlanResult` is the one result type of every surface: the façade,
+  the batch runtime, the result store, the broker spool, the serve daemon
+  and the comparison tables.  It carries the paper's three comparison
+  columns, execution provenance (worker pid, attempts, cache hit), the full
+  serialized plan, the planner's telemetry ``extra``, and — for a façade
+  run — the :class:`~repro.events.PlanEvent` stream captured during it.
 
 Both round-trip through ``to_dict`` / ``from_dict`` (canonical-JSON-able),
 which is the wire format for manifests, stores, and service deployments.
+A result's ``to_dict`` leaves out the per-execution captures (events and
+the worker metrics snapshot).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.errors import ReproError, ValidationError
 from repro.events import PlanEvent
@@ -167,11 +167,13 @@ class PlanRequest:
 
 @dataclass
 class PlanResult:
-    """The unified outcome of one planning run.
+    """The outcome of one planning run — the only result type there is.
 
-    Supersedes the trio of ``AlgorithmResult`` (comparison columns),
-    ``JobResult`` (execution provenance), and raw ``plan.stats`` dicts;
-    conversion methods to the legacy shapes keep old consumers working.
+    It carries the paper's three comparison columns (writing time ``T``,
+    ``char#`` and ``CPU(s)``), execution provenance (worker pid, attempts,
+    cache hit), the full serialized plan and the planner's telemetry
+    ``extra``.  :meth:`for_job` is the one place a job's identity is mapped
+    onto a result.
     """
 
     # Identity
@@ -180,7 +182,7 @@ class PlanResult:
     label: str
     planner: str
     # Outcome
-    status: str  # "ok" | "error" | "timeout"
+    status: str  # "ok" | "error" | "timeout" | "cancelled" | "quarantined"
     error: str | None = None
     # The paper's comparison columns
     writing_time: float = 0.0
@@ -191,12 +193,29 @@ class PlanResult:
     worker_pid: int = 0
     attempts: int = 1
     cache_hit: bool = False
-    timeout: float | None = None
     # Artifacts
     plan: dict | None = None
     instance_summary: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
+    # Per-execution captures, never serialized: the event stream a façade
+    # run collected, and the worker-side metrics snapshot (repro.obs) riding
+    # home on the pickle.  Persisting either would replay one execution's
+    # record into every store hit; the pool pops and merges ``metrics``.
     events: list[PlanEvent] = field(default_factory=list)
+    metrics: dict | None = None
+
+    @classmethod
+    def for_job(cls, job, status: str, **fields) -> "PlanResult":
+        """A result for ``job`` — a :class:`~repro.runtime.jobs.PlanJob` or
+        the :class:`~repro.runtime.jobs.JobDescriptor` a worker received."""
+        return cls(
+            job_id=job.job_id,
+            case=job.case_name,
+            label=job.display_label,
+            planner=job.spec.planner,
+            status=status,
+            **fields,
+        )
 
     @property
     def ok(self) -> bool:
@@ -242,7 +261,6 @@ class PlanResult:
             "label": self.label,
             "planner": self.planner,
             "status": self.status,
-            "error": self.error,
             "writing_time": self.writing_time,
             "num_selected": self.num_selected,
             "runtime_seconds": self.runtime_seconds,
@@ -250,11 +268,10 @@ class PlanResult:
             "worker_pid": self.worker_pid,
             "attempts": self.attempts,
             "cache_hit": self.cache_hit,
-            "timeout": self.timeout,
+            "error": self.error,
             "plan": self.plan,
             "instance_summary": dict(self.instance_summary),
             "extra": dict(self.extra),
-            "events": [event.to_dict() for event in self.events],
         }
 
     @classmethod
@@ -273,79 +290,9 @@ class PlanResult:
             worker_pid=data.get("worker_pid", 0),
             attempts=data.get("attempts", 1),
             cache_hit=data.get("cache_hit", False),
-            timeout=data.get("timeout"),
             plan=data.get("plan"),
             instance_summary=dict(data.get("instance_summary", {})),
             extra=dict(data.get("extra", {})),
-            events=[PlanEvent.from_dict(e) for e in data.get("events", ())],
-        )
-
-    # ------------------------------------------------------------------ #
-    # Legacy conversions
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_job_result(
-        cls,
-        result,
-        events: Sequence[PlanEvent] = (),
-        timeout: float | None = None,
-    ) -> "PlanResult":
-        """Lift a :class:`~repro.runtime.jobs.JobResult` into the API model."""
-        return cls(
-            job_id=result.job_id,
-            case=result.case,
-            label=result.label,
-            planner=result.planner,
-            status=result.status,
-            error=result.error,
-            writing_time=result.writing_time,
-            num_selected=result.num_selected,
-            runtime_seconds=result.runtime_seconds,
-            wall_seconds=result.wall_seconds,
-            worker_pid=result.worker_pid,
-            attempts=result.attempts,
-            cache_hit=result.cache_hit,
-            timeout=timeout,
-            plan=result.plan,
-            instance_summary=dict(result.instance_summary),
-            extra=dict(result.extra),
-            events=list(events),
-        )
-
-    def to_job_result(self):
-        """Project back onto the batch runtime's :class:`JobResult`."""
-        from repro.runtime.jobs import JobResult
-
-        return JobResult(
-            job_id=self.job_id,
-            case=self.case,
-            label=self.label,
-            planner=self.planner,
-            status=self.status,
-            writing_time=self.writing_time,
-            num_selected=self.num_selected,
-            runtime_seconds=self.runtime_seconds,
-            wall_seconds=self.wall_seconds,
-            worker_pid=self.worker_pid,
-            attempts=self.attempts,
-            cache_hit=self.cache_hit,
-            error=self.error,
-            plan=self.plan,
-            instance_summary=dict(self.instance_summary),
-            extra=dict(self.extra),
-        )
-
-    def to_algorithm_result(self):
-        """Project onto the comparison-table record."""
-        from repro.evaluation.metrics import AlgorithmResult
-
-        return AlgorithmResult(
-            algorithm=self.label,
-            case=self.case,
-            writing_time=self.writing_time,
-            num_selected=self.num_selected,
-            runtime_seconds=self.runtime_seconds,
-            extra=dict(self.extra),
         )
 
     def plan_object(self, instance):

@@ -904,13 +904,7 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         )
 
     if args.json:
-        payload = {
-            "winner": outcome.winner.to_dict() if outcome.winner else None,
-            "results": [r.to_dict() for r in outcome.results],
-            "cancelled": outcome.cancelled,
-            "wall_seconds": outcome.wall_seconds,
-        }
-        print(json.dumps(payload, indent=2, default=str))
+        print(json.dumps(outcome.to_dict(), indent=2, default=str))
     else:
         for result in sorted(outcome.results, key=lambda r: (r.status != "ok", r.writing_time)):
             marker = "*" if outcome.winner is result else " "

@@ -54,11 +54,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from repro.api.lifecycle import PlanResult
 from repro.errors import ValidationError
 from repro.io.serialization import canonical_json, write_text_atomic
 from repro.model import OSPInstance
 from repro.obs import metrics as obs_metrics
-from repro.runtime.jobs import JobResult, PlanJob, PlannerSpec
+from repro.runtime.jobs import PlanJob, PlannerSpec
 from repro.runtime.store import ResultStore
 from repro.runtime.supervision import JobJournal, backoff_delay
 
@@ -450,7 +451,7 @@ class Broker:
             return False
         return True
 
-    def commit(self, lease: BrokerLease, result: JobResult,
+    def commit(self, lease: BrokerLease, result: PlanResult,
                store: ResultStore | None = None) -> str:
         """Fenced two-phase commit; returns ``committed`` or ``stale``.
 
@@ -498,7 +499,7 @@ class Broker:
         self._release_paths(job_id, lease.epoch)
         return "committed"
 
-    def release(self, lease: BrokerLease, result: JobResult) -> str:
+    def release(self, lease: BrokerLease, result: PlanResult) -> str:
         """Give a *failed* attempt back; returns ``requeued`` or ``quarantined``.
 
         Mirrors the in-process supervisor: jittered exponential backoff via
@@ -614,12 +615,12 @@ class Broker:
             return "queued"
         return "unknown"
 
-    def fetch(self, job: PlanJob, store: ResultStore | None = None) -> JobResult | None:
+    def fetch(self, job: PlanJob, store: ResultStore | None = None) -> PlanResult | None:
         """The terminal result for ``job`` (done or quarantined), or ``None``."""
         marker = _read_json(self.done / f"{job.job_id}.json")
         if marker is not None:
             if marker.get("result") is not None:
-                result = JobResult.from_dict(marker["result"])
+                result = PlanResult.from_dict(marker["result"])
             else:
                 store = store if store is not None else self.store
                 result = store.get(job) if store is not None else None
@@ -629,9 +630,8 @@ class Broker:
             return result
         poison = _read_json(self.quarantine / f"{job.job_id}.json")
         if poison is not None:
-            return JobResult(
-                job_id=job.job_id, case=job.case_name, label=job.display_label,
-                planner=job.spec.planner, status="quarantined",
+            return PlanResult.for_job(
+                job, "quarantined",
                 attempts=int(poison.get("attempts", 0) or 0),
                 error=poison.get("error") or "quarantined",
             )

@@ -34,9 +34,10 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from repro.api.lifecycle import PlanResult
 from repro.events import PlanEvent
 from repro.obs.tracing import span
-from repro.runtime.jobs import JobResult, PlanJob
+from repro.runtime.jobs import PlanJob
 from repro.runtime.store import ResultStore
 from repro.runtime.telemetry import Telemetry
 from repro.dist.broker import Broker, BrokerConfig
@@ -61,10 +62,10 @@ class Scheduler:
         telemetry: Telemetry | None = None,
         on_event: Callable[[PlanEvent], None] | None = None,
         resume: bool = False,
-    ) -> Iterator[JobResult]:
+    ) -> Iterator[PlanResult]:
         raise NotImplementedError
 
-    def run_jobs(self, jobs: Iterable[PlanJob], **kwargs) -> list[JobResult]:
+    def run_jobs(self, jobs: Iterable[PlanJob], **kwargs) -> list[PlanResult]:
         return list(self.iter_jobs(jobs, **kwargs))
 
     def close(self) -> None:  # pragma: no cover - default no-op
@@ -106,7 +107,7 @@ class LocalScheduler(Scheduler):
         self.max_attempts = max_attempts
 
     def iter_jobs(self, jobs, *, store=None, telemetry=None, on_event=None,
-                  resume=False) -> Iterator[JobResult]:
+                  resume=False) -> Iterator[PlanResult]:
         from repro.runtime.engine import iter_jobs as engine_iter_jobs
 
         yield from engine_iter_jobs(
@@ -240,7 +241,7 @@ class BrokerScheduler(Scheduler):
     # Batch driving
     # ------------------------------------------------------------------ #
     def iter_jobs(self, jobs, *, store=None, telemetry=None, on_event=None,
-                  resume: bool = False) -> Iterator[JobResult]:
+                  resume: bool = False) -> Iterator[PlanResult]:
         """Spool ``jobs`` and stream fenced results in submission order.
 
         Store hits never touch the spool.  ``resume`` is implicit — the
@@ -253,7 +254,7 @@ class BrokerScheduler(Scheduler):
         jobs = list(jobs)
         broker = self.broker
         store = store if store is not None else broker.store
-        hits: dict[int, JobResult] = {}
+        hits: dict[int, PlanResult] = {}
         with span("broker_dispatch", jobs=len(jobs), queue=broker.queue):
             for index, job in enumerate(jobs):
                 cached = store.get(job) if store is not None else None
@@ -271,7 +272,7 @@ class BrokerScheduler(Scheduler):
                 telemetry.record(result)
             yield result
 
-    def _collect(self, job: PlanJob, store: ResultStore | None) -> JobResult:
+    def _collect(self, job: PlanJob, store: ResultStore | None) -> PlanResult:
         broker = self.broker
         waited_from = time.monotonic()
         seen_done = -1

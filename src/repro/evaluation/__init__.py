@@ -1,12 +1,9 @@
 """Evaluation and reporting: comparison harness and paper-style tables."""
 
 from repro.evaluation.compare import Comparison, ComparisonRow, run_comparison
-from repro.evaluation.metrics import AlgorithmResult, result_from_plan
 from repro.evaluation.tables import format_comparison_table
 
 __all__ = [
-    "AlgorithmResult",
-    "result_from_plan",
     "Comparison",
     "ComparisonRow",
     "run_comparison",

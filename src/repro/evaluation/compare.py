@@ -1,31 +1,25 @@
 """Comparison harness: run several planners over a list of benchmark cases.
 
 This is the engine behind the Table 3 / Table 4 / Table 5 reproductions — a
-thin client of the unified planning API: planner specs build through the
-shared :mod:`repro.api.registry` handles (declared capabilities + option
-schemas), and pooled grids execute through the batch runtime's single
-execution path.  Results are grouped per case so the reporting module can
-lay them out in the paper's row format.
-
-Planners may still be supplied as bare factories (legacy, serial-only); the
-spec form (:class:`~repro.runtime.jobs.PlannerSpec` or registry-name
-strings) is required for pooled execution and validated against the
-planner's declared option schema.
+thin client of the batch runtime: the cases × planners grid runs through
+:func:`repro.runtime.run_jobs` (inline for ``jobs=1``, pooled otherwise),
+planner specs build through the shared :mod:`repro.api.registry` handles, and
+the results are grouped per case so the reporting module can lay them out in
+the paper's row format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.evaluation.metrics import AlgorithmResult, result_from_plan
 from repro.model import OSPInstance
-from repro.workloads import build_instance
+
+if TYPE_CHECKING:
+    from repro.api.lifecycle import PlanResult
+    from repro.runtime.jobs import PlannerSpec
 
 __all__ = ["ComparisonRow", "Comparison", "run_comparison"]
-
-PlannerFactory = Callable[[], object]
-
 
 @dataclass
 class ComparisonRow:
@@ -33,7 +27,7 @@ class ComparisonRow:
 
     case: str
     instance_summary: dict
-    results: dict[str, AlgorithmResult] = field(default_factory=dict)
+    results: dict[str, PlanResult] = field(default_factory=dict)
 
 
 @dataclass
@@ -86,16 +80,28 @@ class Comparison:
                 {
                     "case": row.case,
                     "instance": row.instance_summary,
-                    "results": {k: v.to_dict() for k, v in row.results.items()},
+                    "results": {k: _cell(v) for k, v in row.results.items()},
                 }
                 for row in self.rows
             ]
         }
 
 
+def _cell(result: PlanResult) -> dict:
+    """One (algorithm, case) cell: the paper's T, char# and CPU(s) columns."""
+    return {
+        "algorithm": result.label,
+        "case": result.case,
+        "writing_time": result.writing_time,
+        "num_selected": result.num_selected,
+        "runtime_seconds": result.runtime_seconds,
+        "extra": dict(result.extra),
+    }
+
+
 def run_comparison(
     cases: Sequence[str] | Sequence[OSPInstance],
-    planners: Mapping[str, PlannerFactory],
+    planners: Mapping[str, PlannerSpec | str],
     scale: float = 1.0,
     jobs: int = 1,
     store=None,
@@ -106,50 +112,17 @@ def run_comparison(
 
     ``cases`` may contain benchmark-case names (resolved through
     :func:`repro.workloads.build_instance` with ``scale``) or pre-built
-    :class:`OSPInstance` objects.
+    :class:`OSPInstance` objects.  ``planners`` maps column labels to
+    :class:`repro.runtime.PlannerSpec` objects or registry names.
 
-    ``planners`` values may be plain factories (legacy, serial-only) or
-    :class:`repro.runtime.PlannerSpec` / registry-name strings.  With
-    ``jobs > 1`` — or a result ``store`` / ``telemetry`` manifest — the grid
-    executes through the batch runtime (:mod:`repro.runtime`), which requires
-    the spec form.  Plans are identical to serial runs provided the planner
-    configs are load-independent, as every E-BLOW and baseline config is;
-    only the exact-ILP planners' ``time_limit`` makes a result depend on
-    machine load.
+    The grid executes through the batch runtime with ``jobs`` workers
+    (``jobs=1`` runs inline in this process), optionally backed by a result
+    ``store`` and a ``telemetry`` manifest.  Plans are identical for every
+    ``jobs`` provided the planner configs are load-independent, as every
+    E-BLOW and baseline config is; only the exact-ILP planners'
+    ``time_limit`` makes a result depend on machine load.  A failed cell
+    raises :class:`RuntimeError`.
     """
-    if jobs > 1 or store is not None or telemetry is not None:
-        return _run_comparison_pooled(
-            cases, planners, scale=scale, jobs=jobs, store=store,
-            telemetry=telemetry, timeout=timeout,
-        )
-    from repro.runtime.jobs import summarize_instance
-
-    comparison = Comparison()
-    for case in cases:
-        instance = case if isinstance(case, OSPInstance) else build_instance(case, scale)
-        row = ComparisonRow(case=instance.name, instance_summary=summarize_instance(instance))
-        for name, factory in planners.items():
-            planner = _build_planner(factory, instance.kind)
-            plan = planner.plan(instance)
-            row.results[name] = result_from_plan(plan, algorithm=name, case=instance.name)
-        comparison.rows.append(row)
-    return comparison
-
-
-def _build_planner(factory, kind: str):
-    """Support both legacy factories and runtime planner specs."""
-    from repro.runtime.jobs import PlannerSpec
-
-    if isinstance(factory, PlannerSpec):
-        return factory.build(kind)
-    if isinstance(factory, str):
-        return PlannerSpec(factory).build(kind)
-    return factory()
-
-
-def _run_comparison_pooled(
-    cases, planners, scale, jobs, store, telemetry, timeout
-) -> Comparison:
     from repro.runtime import grid_jobs, run_jobs
 
     grid = grid_jobs(cases, planners, scale=scale, timeout=timeout)
@@ -168,5 +141,5 @@ def _run_comparison_pooled(
             row = ComparisonRow(case=result.case, instance_summary=dict(result.instance_summary))
             row_by_case[result.case] = row
             comparison.rows.append(row)
-        row.results[result.label] = result.to_algorithm_result()
+        row.results[result.label] = result
     return comparison

@@ -14,7 +14,7 @@ client`-shaped surface reduced to what the serving path needs:
   such a snapshot back in (counters and histograms add, gauges take the
   incoming value).  That pair is the cross-process protocol: pool workers
   collect into their own registry, ship the snapshot back on the
-  :class:`~repro.runtime.jobs.JobResult`, and the parent folds it into the
+  :class:`~repro.api.lifecycle.PlanResult`, and the parent folds it into the
   process-wide registry — see :mod:`repro.runtime.pool`.
 * **Pre-bound instruments** — modules declare their metrics once at import
   time (:func:`declare_counter` / :func:`declare_gauge` /

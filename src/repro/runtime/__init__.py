@@ -30,7 +30,6 @@ from repro.runtime.faults import FaultPlan, FaultSpec, InjectedFaultError
 from repro.runtime.jobs import (
     JobCancelledError,
     JobDescriptor,
-    JobResult,
     JobTimeoutError,
     PlanJob,
     PlannerSpec,
@@ -61,7 +60,6 @@ __all__ = [
     "PlanJob",
     "PlannerSpec",
     "JobDescriptor",
-    "JobResult",
     "JobTimeoutError",
     "JobCancelledError",
     "execute_job",

@@ -3,7 +3,7 @@
 This is the high-level entry the CLI and the evaluation layer share:
 
 * :func:`grid_jobs` expands a cases × planners grid into :class:`PlanJob`
-  specs (the same grid ``run_comparison`` used to loop over serially),
+  specs (the grid ``run_comparison`` runs),
 * :func:`iter_jobs` streams results in submission order, serving store hits
   instantly, dispatching misses to a :class:`~repro.runtime.pool.PlannerPool`,
   persisting fresh ``ok`` results, and logging every outcome to telemetry,
@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from repro.api.lifecycle import PlanResult
 from repro.events import PlanEvent
 from repro.model import OSPInstance
 from repro.obs.tracing import span
-from repro.runtime.jobs import JobResult, PlanJob, PlannerSpec
+from repro.runtime.jobs import PlanJob, PlannerSpec
 from repro.runtime.pool import EventRelay, PlannerPool
 from repro.runtime.store import ResultStore
 from repro.runtime.telemetry import Telemetry
@@ -71,7 +72,7 @@ def iter_jobs(
     resume: bool = False,
     max_attempts: int | None = None,
     scheduler: "Scheduler | None" = None,
-) -> Iterator[JobResult]:
+) -> Iterator[PlanResult]:
     """Stream results for ``jobs`` in submission order.
 
     Store hits never touch the pool; a pool is only spun up if at least one
@@ -137,7 +138,7 @@ def iter_jobs(
             pool=pool,
         )
         return
-    hits: dict[int, JobResult] = {}
+    hits: dict[int, PlanResult] = {}
     misses: list[tuple[int, PlanJob]] = []
     # The probe phase shows up as its own span so a mostly-cached batch
     # attributes its wall time to store reads instead of to dispatch.
@@ -199,7 +200,7 @@ def run_jobs(
     resume: bool = False,
     max_attempts: int | None = None,
     scheduler: "Scheduler | None" = None,
-) -> list[JobResult]:
+) -> list[PlanResult]:
     """Run all jobs and return results in submission order (see iter_jobs)."""
     return list(
         iter_jobs(

@@ -15,7 +15,7 @@ Because the description is pure data, it has a deterministic identity:
 the process pool, and portfolio racing — it resolves the instance, builds the
 planner from the registry, enforces the timeout (SIGALRM-based, so a stuck
 planner is interrupted inside the worker instead of orphaning it), and
-condenses the plan into a :class:`JobResult`.
+condenses the plan into a :class:`~repro.api.lifecycle.PlanResult`.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import Mapping
 # capabilities and option schemas there and self-register on import); these
 # re-exports keep the historic `repro.runtime` import surface working.
 from repro.api import planners as _catalogue  # noqa: F401  (self-registration)
+from repro.api.lifecycle import PlanResult
 from repro.api.registry import (  # noqa: F401  (re-exported shims)
     PlannerBuilder,
     get_handle,
@@ -42,10 +43,10 @@ from repro.api.registry import (  # noqa: F401  (re-exported shims)
     resolve_planner,
 )
 from repro.errors import ValidationError
-from repro.evaluation.metrics import AlgorithmResult, result_from_plan
 from repro.events import emit
 from repro.io.serialization import canonical_json
-from repro.model import OSPInstance, StencilPlan
+from repro.model import OSPInstance
+from repro.model.writing_time import evaluate_plan
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
 from repro.runtime import faults
@@ -55,7 +56,6 @@ __all__ = [
     "PlannerSpec",
     "PlanJob",
     "JobDescriptor",
-    "JobResult",
     "JobTimeoutError",
     "JobCancelledError",
     "execute_job",
@@ -225,6 +225,7 @@ class PlanJob:
             instance_hash=self.instance_hash,
             config_hash=self.config_hash,
             job_id=self.job_id,
+            case_name=self.case_name,
         )
 
 
@@ -235,7 +236,9 @@ class JobDescriptor:
     ``rebuild`` reconstitutes an equivalent :class:`PlanJob` in the worker —
     named cases resolve through the per-process memo, arena-backed instances
     attach zero-copy — and seeds the job's cached content hashes from the
-    parent so identities match exactly.
+    parent so identities match exactly.  It carries the job's
+    ``case_name`` too, so a worker that cannot rebuild the job still reports
+    its failure under the job's own identity.
     """
 
     spec: PlannerSpec
@@ -247,6 +250,11 @@ class JobDescriptor:
     instance_hash: str
     config_hash: str
     job_id: str
+    case_name: str
+
+    @property
+    def display_label(self) -> str:
+        return self.label or self.spec.planner
 
     def rebuild(self) -> PlanJob:
         instance = None
@@ -293,100 +301,6 @@ def _cached_case_instance(case: str, scale: float) -> OSPInstance:
 
 
 # --------------------------------------------------------------------------- #
-# Results
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class JobResult:
-    """Outcome of one :class:`PlanJob` execution (or a store hit)."""
-
-    job_id: str
-    case: str
-    label: str
-    planner: str
-    status: str  # "ok" | "error" | "timeout" | "cancelled" | "quarantined"
-    writing_time: float = 0.0
-    num_selected: int = 0
-    runtime_seconds: float = 0.0
-    wall_seconds: float = 0.0
-    worker_pid: int = 0
-    attempts: int = 1
-    cache_hit: bool = False
-    error: str | None = None
-    plan: dict | None = None
-    instance_summary: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
-    # Worker-side metrics snapshot (repro.obs) riding home on the pickle.
-    # Deliberately excluded from to_dict/from_dict: it describes one
-    # *execution*, not the result — persisting it in the store would replay
-    # stale counters into every cache hit.  The pool pops and merges it.
-    metrics: dict | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    def to_dict(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "case": self.case,
-            "label": self.label,
-            "planner": self.planner,
-            "status": self.status,
-            "writing_time": self.writing_time,
-            "num_selected": self.num_selected,
-            "runtime_seconds": self.runtime_seconds,
-            "wall_seconds": self.wall_seconds,
-            "worker_pid": self.worker_pid,
-            "attempts": self.attempts,
-            "cache_hit": self.cache_hit,
-            "error": self.error,
-            "plan": self.plan,
-            "instance_summary": dict(self.instance_summary),
-            "extra": dict(self.extra),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "JobResult":
-        return cls(
-            job_id=data["job_id"],
-            case=data["case"],
-            label=data["label"],
-            planner=data["planner"],
-            status=data["status"],
-            writing_time=data.get("writing_time", 0.0),
-            num_selected=data.get("num_selected", 0),
-            runtime_seconds=data.get("runtime_seconds", 0.0),
-            wall_seconds=data.get("wall_seconds", 0.0),
-            worker_pid=data.get("worker_pid", 0),
-            attempts=data.get("attempts", 1),
-            cache_hit=data.get("cache_hit", False),
-            error=data.get("error"),
-            plan=data.get("plan"),
-            instance_summary=dict(data.get("instance_summary", {})),
-            extra=dict(data.get("extra", {})),
-        )
-
-    def to_algorithm_result(self) -> AlgorithmResult:
-        """Condense into the comparison-table record (see evaluation.metrics)."""
-        return AlgorithmResult(
-            algorithm=self.label,
-            case=self.case,
-            writing_time=self.writing_time,
-            num_selected=self.num_selected,
-            runtime_seconds=self.runtime_seconds,
-            extra=dict(self.extra),
-        )
-
-    def to_plan(self, instance: OSPInstance) -> StencilPlan:
-        """Rebuild the stencil plan against its (re-resolved) instance."""
-        if self.plan is None:
-            raise ValidationError(f"job {self.job_id} carries no plan (status={self.status})")
-        return StencilPlan.from_dict(instance, self.plan)
-
-
-# --------------------------------------------------------------------------- #
 # Execution
 # --------------------------------------------------------------------------- #
 
@@ -401,6 +315,21 @@ _STAGE_SECONDS = obs_metrics.declare_counter(
     "Cumulative wall seconds per planner pipeline stage",
     ("planner", "stage"),
 )
+
+#: The ``plan.stats`` keys a result keeps as its ``extra``: the planner
+#: counters the comparison tables and telemetry manifests report.
+_EXTRA_STATS = frozenset({
+    "lp_iterations",
+    "lp_solve_seconds",
+    "stage_seconds",
+    "post_swaps",
+    "post_insertions",
+    "num_clusters",
+    "annealing_moves",
+    "annealing_engine",
+    "optimal",
+    "ilp_binary_variables",
+})
 
 
 @contextmanager
@@ -444,7 +373,7 @@ def summarize_instance(instance: OSPInstance) -> dict:
     }
 
 
-def execute_job(job: PlanJob, on_event=None) -> JobResult:
+def execute_job(job: PlanJob, on_event=None) -> PlanResult:
     """Run one job to completion in the current process.
 
     Never raises for planner failures or timeouts — those come back as
@@ -464,14 +393,7 @@ def execute_job(job: PlanJob, on_event=None) -> JobResult:
             return execute_job(job)
 
     start = time.perf_counter()
-    result = JobResult(
-        job_id=job.job_id,
-        case=job.case_name,
-        label=job.display_label,
-        planner=job.spec.planner,
-        status="error",
-        worker_pid=os.getpid(),
-    )
+    result = PlanResult.for_job(job, "error", worker_pid=os.getpid())
     emit(
         "started",
         planner=job.spec.planner,
@@ -494,12 +416,12 @@ def execute_job(job: PlanJob, on_event=None) -> JobResult:
             planner = job.spec.build(instance.kind)
             with _deadline(job.timeout):
                 plan = planner.plan(instance)
-            condensed = result_from_plan(plan, algorithm=job.display_label, case=instance.name)
+            report = evaluate_plan(plan)
             result.status = "ok"
-            result.writing_time = condensed.writing_time
-            result.num_selected = condensed.num_selected
-            result.runtime_seconds = condensed.runtime_seconds
-            result.extra = dict(condensed.extra)
+            result.writing_time = report.total
+            result.num_selected = report.num_selected
+            result.runtime_seconds = float(plan.stats.get("runtime_seconds", 0.0))
+            result.extra = {k: v for k, v in plan.stats.items() if k in _EXTRA_STATS}
             result.plan = plan.to_dict()
         except JobTimeoutError as exc:
             result.status = "timeout"

@@ -46,12 +46,13 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Iterator, Sequence
 
+from repro.api.lifecycle import PlanResult
 from repro.events import PlanEvent
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
 from repro.runtime import faults
 from repro.runtime.arena import InstanceArena
-from repro.runtime.jobs import JobDescriptor, JobResult, PlanJob, execute_job
+from repro.runtime.jobs import JobDescriptor, PlanJob, execute_job
 
 __all__ = ["PlannerPool", "EventRelay", "default_workers", "shared_pool", "close_shared_pools"]
 
@@ -150,7 +151,7 @@ def _execute_descriptor(
     event_types=None,
     collect_metrics=False,
     heartbeat=None,
-) -> JobResult:
+) -> PlanResult:
     if heartbeat is not None and event_queue is not None:
         # Liveness beacon for the supervisor's lease table: a daemon thread
         # puts a ``heartbeat`` event straight onto the relay queue every
@@ -168,7 +169,7 @@ def _execute_descriptor(
         def _beat() -> None:
             payload = {
                 "job_id": desc.job_id,
-                "label": desc.label or desc.spec.planner,
+                "label": desc.display_label,
                 "worker_pid": pid,
             }
             while True:
@@ -202,12 +203,9 @@ def _execute_descriptor(
         # concurrent pool teardown.  Report it as THIS job's failure: an
         # exception escaping here would fail the whole chunk future and
         # throw away the completed results of every sibling job.
-        return JobResult(
-            job_id=desc.job_id,
-            case=desc.case or "<inline>",
-            label=desc.label or desc.spec.planner,
-            planner=desc.spec.planner,
-            status="error",
+        return PlanResult.for_job(
+            desc,
+            "error",
             error=f"descriptor rebuild failed: {type(exc).__name__}: {exc}",
             worker_pid=os.getpid(),
         )
@@ -301,7 +299,7 @@ def _pool_worker(
     event_types=None,
     collect_metrics=False,
     heartbeat=None,
-) -> JobResult:
+) -> PlanResult:
     # Module-level so it pickles under every multiprocessing start method.
     return _execute_descriptor(desc, event_queue, event_types, collect_metrics, heartbeat)
 
@@ -311,7 +309,7 @@ def _pool_worker_chunk(
     event_queue=None,
     event_types=None,
     collect_metrics=False,
-) -> list[JobResult]:
+) -> list[PlanResult]:
     return [
         _execute_descriptor(desc, event_queue, event_types, collect_metrics)
         for desc in descs
@@ -557,7 +555,7 @@ class PlannerPool:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def run(self, jobs: Iterable[PlanJob]) -> list[JobResult]:
+    def run(self, jobs: Iterable[PlanJob]) -> list[PlanResult]:
         """Run all jobs and return their results in submission order."""
         return list(self.imap(jobs))
 
@@ -586,7 +584,7 @@ class PlannerPool:
         event_queue=None,
         on_event: Callable[[PlanEvent], None] | None = None,
         chunksize: int | None = None,
-    ) -> Iterator[JobResult]:
+    ) -> Iterator[PlanResult]:
         """Yield results in submission order as jobs complete.
 
         Jobs are dispatched as descriptor chunks (``chunksize`` defaults to
@@ -687,7 +685,7 @@ class PlannerPool:
     # ------------------------------------------------------------------ #
     def _run_with_retries_inline(
         self, job: PlanJob, on_event: Callable[[PlanEvent], None] | None = None
-    ) -> JobResult:
+    ) -> PlanResult:
         sink = None
         if on_event is not None:
             label = job.display_label
@@ -725,7 +723,7 @@ class PlannerPool:
         return sum(bounds)
 
     @staticmethod
-    def _note(result: JobResult, mode: str) -> None:
+    def _note(result: PlanResult, mode: str) -> None:
         """Account one resolved job attempt, folding in its worker snapshot.
 
         This is the parent-side half of the cross-process metrics pipeline:
@@ -740,64 +738,45 @@ class PlannerPool:
         _POOL_JOBS.inc(status=result.status, mode=mode)
         _POOL_JOB_SECONDS.observe(result.wall_seconds, mode=mode)
 
-    def collect(self, job: PlanJob, future: Future) -> JobResult:
-        """Resolve one single-job future into a :class:`JobResult` (no retries)."""
+    def collect(self, job: PlanJob, future: Future) -> PlanResult:
+        """Resolve one single-job future into a :class:`PlanResult` (no retries)."""
         try:
             result = future.result(timeout=self._wait_bound(job))
-        except FutureTimeoutError:
-            future.cancel()
-            self.abandon_running()
-            result = self._failed(job, "timeout", "worker did not respond within the timeout")
-        except CancelledError:
-            result = self._failed(job, "error", "job was cancelled before it ran")
-        except BrokenProcessPool as exc:
-            # The pool is unusable: drop it so a retry gets a fresh one.
-            self.reset_broken()
-            result = self._failed(job, "error", f"worker pool broke: {exc}")
-        except Exception as exc:  # noqa: BLE001 — unexpected submission failure
-            result = self._failed(job, "error", f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # noqa: BLE001 — becomes the job's failure
+            status, error = self._lost(future, exc)
+            result = PlanResult.for_job(job, status, error=error)
         self._note(result, "pool")
         return result
 
     def _collect_chunk(
         self, jobs: Sequence[PlanJob], future: Future
-    ) -> list[JobResult]:
-        results = self._collect_chunk_raw(jobs, future)
+    ) -> list[PlanResult]:
+        try:
+            results = list(future.result(timeout=self._chunk_wait_bound(jobs)))
+        except Exception as exc:  # noqa: BLE001 — becomes every chunk job's failure
+            status, error = self._lost(future, exc)
+            results = [PlanResult.for_job(job, status, error=error) for job in jobs]
         for result in results:
             self._note(result, "pool")
         return results
 
-    def _collect_chunk_raw(
-        self, jobs: Sequence[PlanJob], future: Future
-    ) -> list[JobResult]:
-        try:
-            return list(future.result(timeout=self._chunk_wait_bound(jobs)))
-        except FutureTimeoutError:
+    def _lost(self, future: Future, exc: Exception) -> tuple[str, str]:
+        """The ``(status, error)`` of jobs whose future failed with ``exc``."""
+        if isinstance(exc, FutureTimeoutError):
             future.cancel()
             self.abandon_running()
-            return [
-                self._failed(job, "timeout", "worker did not respond within the timeout")
-                for job in jobs
-            ]
-        except CancelledError:
-            return [
-                self._failed(job, "error", "job was cancelled before it ran")
-                for job in jobs
-            ]
-        except BrokenProcessPool as exc:
+            return "timeout", "worker did not respond within the timeout"
+        if isinstance(exc, CancelledError):
+            return "error", "job was cancelled before it ran"
+        if isinstance(exc, BrokenProcessPool):
+            # The pool is unusable: drop it so a retry gets a fresh one.
             self.reset_broken()
-            return [
-                self._failed(job, "error", f"worker pool broke: {exc}") for job in jobs
-            ]
-        except Exception as exc:  # noqa: BLE001 — unexpected submission failure
-            return [
-                self._failed(job, "error", f"{type(exc).__name__}: {exc}")
-                for job in jobs
-            ]
+            return "error", f"worker pool broke: {exc}"
+        return "error", f"{type(exc).__name__}: {exc}"  # unexpected submission failure
 
     def _await_chunk(
         self, jobs: Sequence[PlanJob], future: Future, event_queue=None
-    ) -> list[JobResult]:
+    ) -> list[PlanResult]:
         with span("dispatch", jobs=len(jobs), job_ids=[job.job_id for job in jobs]):
             results = self._collect_chunk(jobs, future)
             for index, result in enumerate(results):
@@ -831,17 +810,6 @@ class PlannerPool:
                     result.extra["attempt"] = result.attempts
                 results[index] = result
             return results
-
-    @staticmethod
-    def _failed(job: PlanJob, status: str, message: str) -> JobResult:
-        return JobResult(
-            job_id=job.job_id,
-            case=job.case_name,
-            label=job.display_label,
-            planner=job.spec.planner,
-            status=status,
-            error=message,
-        )
 
 
 # --------------------------------------------------------------------------- #

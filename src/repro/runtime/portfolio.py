@@ -29,12 +29,14 @@ from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from repro.api.lifecycle import PlanResult
 from repro.errors import ValidationError
 from repro.events import PlanEvent, guarded_sink
 from repro.model import OSPInstance
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
-from repro.runtime.jobs import JobResult, PlanJob, PlannerSpec, execute_job
+from repro.runtime.engine import grid_jobs
+from repro.runtime.jobs import PlanJob, PlannerSpec, execute_job
 from repro.runtime.pool import EventRelay, PlannerPool, default_workers, labelled_event
 from repro.runtime.store import ResultStore
 from repro.runtime.telemetry import Telemetry
@@ -62,14 +64,24 @@ _GRACE_FIRES = obs_metrics.declare_counter(
 class PortfolioOutcome:
     """Result of one portfolio race."""
 
-    winner: JobResult | None
-    results: list[JobResult] = field(default_factory=list)
+    winner: PlanResult | None
+    results: list[PlanResult] = field(default_factory=list)
     cancelled: list[str] = field(default_factory=list)  # labels that never finished
     wall_seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
         return self.winner is not None
+
+    def to_dict(self) -> dict:
+        """The race as JSON-able data (``eblow portfolio --json``, serve frames)."""
+        return {
+            "ok": self.ok,
+            "wall_seconds": self.wall_seconds,
+            "cancelled": list(self.cancelled),
+            "winner": self.winner.to_dict() if self.winner is not None else None,
+            "results": [result.to_dict() for result in self.results],
+        }
 
 
 def portfolio_jobs(
@@ -79,21 +91,10 @@ def portfolio_jobs(
     timeout: float | None = None,
 ) -> list[PlanJob]:
     """One job per portfolio entrant, all targeting the same instance."""
-    jobs = []
-    for label, value in entries.items():
-        spec = value if isinstance(value, PlannerSpec) else PlannerSpec(str(value))
-        if isinstance(instance_or_case, OSPInstance):
-            jobs.append(PlanJob(spec=spec, instance=instance_or_case, timeout=timeout, label=label))
-        else:
-            jobs.append(
-                PlanJob(
-                    spec=spec, case=instance_or_case, scale=scale, timeout=timeout, label=label
-                )
-            )
-    return jobs
+    return grid_jobs([instance_or_case], entries, scale=scale, timeout=timeout)
 
 
-def _better(candidate: JobResult, incumbent: JobResult | None) -> bool:
+def _better(candidate: PlanResult, incumbent: PlanResult | None) -> bool:
     if not candidate.ok:
         return False
     if incumbent is None:
@@ -109,7 +110,7 @@ class _Race:
 
     def __init__(self, target: float | None) -> None:
         self.target = target
-        self.winner: JobResult | None = None
+        self.winner: PlanResult | None = None
         #: when the first ``ok`` result appeared (perf_counter), arming grace.
         self.winner_at: float | None = None
         #: label -> (best incumbent cost so far, perf_counter of last report).
@@ -132,7 +133,7 @@ class _Race:
                 cost = previous[0]
             self.incumbents[str(label)] = (cost, time.perf_counter())
 
-    def take(self, result: JobResult) -> None:
+    def take(self, result: PlanResult) -> None:
         if result.ok and self.winner_at is None:
             self.winner_at = time.perf_counter()
         if _better(result, self.winner):
@@ -260,12 +261,9 @@ def run_portfolio(
             # reports it instead of re-racing it (only ok results are
             # store-backed).
             outcome.results.append(
-                JobResult(
-                    job_id=job.job_id,
-                    case=job.case_name,
-                    label=job.display_label,
-                    planner=job.spec.planner,
-                    status=str(info.get("status", "error")),
+                PlanResult.for_job(
+                    job,
+                    str(info.get("status", "error")),
                     error=info.get("error"),
                     attempts=max(1, int(info.get("attempts", 1))),
                     extra={"resumed": True},

@@ -40,7 +40,8 @@ from repro import __version__
 from repro.io.serialization import canonical_json, write_text_atomic
 from repro.obs import metrics as obs_metrics
 from repro.runtime import faults
-from repro.runtime.jobs import JobResult, PlanJob
+from repro.api.lifecycle import PlanResult
+from repro.runtime.jobs import PlanJob
 
 __all__ = ["ResultStore", "default_cache_dir", "code_version", "STORE_SCHEMA_VERSION"]
 
@@ -98,7 +99,7 @@ def default_cache_dir() -> Path:
 
 
 class ResultStore:
-    """Content-addressed cache of :class:`JobResult` records."""
+    """Content-addressed cache of :class:`PlanResult` records."""
 
     def __init__(self, root: str | Path | None = None, version: str | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
@@ -111,7 +112,7 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     # Read / write
     # ------------------------------------------------------------------ #
-    def get(self, job: PlanJob) -> JobResult | None:
+    def get(self, job: PlanJob) -> PlanResult | None:
         """The cached result for ``job``, marked ``cache_hit=True``, or None.
 
         A corrupt entry — unparsable JSON, wrong shape, or an integrity
@@ -141,7 +142,7 @@ class ResultStore:
                         )
                 data = body
             # else: pre-envelope entry (bare result dict) — accepted as-is.
-            result = JobResult.from_dict(data)
+            result = PlanResult.from_dict(data)
         except (ValueError, KeyError, TypeError) as exc:
             self._quarantine(path, reason=f"{type(exc).__name__}: {exc}")
             _STORE_REQUESTS.inc(outcome="miss")
@@ -163,7 +164,7 @@ class ResultStore:
         result.case = job.case_name
         return result
 
-    def put(self, job: PlanJob, result: JobResult) -> Path | None:
+    def put(self, job: PlanJob, result: PlanResult) -> Path | None:
         """Persist an ``ok`` result (no-op for errors/timeouts/cache hits)."""
         if not result.ok or result.cache_hit:
             return None

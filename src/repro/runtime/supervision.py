@@ -49,11 +49,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from repro.api.lifecycle import PlanResult
 from repro.events import PlanEvent, guarded_sink
 from repro.io.serialization import canonical_json
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
-from repro.runtime.jobs import JobResult, PlanJob, execute_job
+from repro.runtime.jobs import PlanJob, execute_job
 from repro.runtime.pool import EventRelay, PlannerPool, labelled_event
 from repro.runtime.store import ResultStore
 from repro.runtime.telemetry import Telemetry
@@ -157,7 +158,7 @@ class JobLease:
     escalation: int = 0
     next_escalation_at: float = 0.0
     future: Future | None = None
-    result: JobResult | None = None
+    result: PlanResult | None = None
     last_error: str | None = None
 
 
@@ -331,7 +332,7 @@ class _Supervisor:
         if self.journal is not None:
             self.journal.append(op, lease.job.job_id, **fields)
 
-    def _complete(self, lease: JobLease, result: JobResult, cache_hit: bool = False) -> None:
+    def _complete(self, lease: JobLease, result: PlanResult, cache_hit: bool = False) -> None:
         if not cache_hit:
             result.attempts = lease.attempt
             result.extra["attempt"] = lease.attempt
@@ -352,13 +353,9 @@ class _Supervisor:
             self.telemetry.record(result)
 
     def _quarantine(self, lease: JobLease, reason: str) -> None:
-        job = lease.job
-        result = JobResult(
-            job_id=job.job_id,
-            case=job.case_name,
-            label=job.display_label,
-            planner=job.spec.planner,
-            status="quarantined",
+        result = PlanResult.for_job(
+            lease.job,
+            "quarantined",
             error=lease.last_error,
             attempts=lease.attempt,
             extra={"attempt": lease.attempt, "quarantine_reason": reason},
@@ -438,12 +435,9 @@ class _Supervisor:
                     # journal instead of re-running it (clear the journal to
                     # retry).  Not re-journaled — the terminal record exists.
                     lease.last_error = info.get("error")
-                    result = JobResult(
-                        job_id=job.job_id,
-                        case=job.case_name,
-                        label=job.display_label,
-                        planner=job.spec.planner,
-                        status="quarantined",
+                    result = PlanResult.for_job(
+                        job,
+                        "quarantined",
                         error=lease.last_error,
                         attempts=lease.attempt,
                         extra={"attempt": lease.attempt, "resumed": True},
@@ -466,7 +460,7 @@ class _Supervisor:
                     attempt=lease.attempt,
                 )
 
-    def run(self) -> Iterator[JobResult]:
+    def run(self) -> Iterator[PlanResult]:
         with span("supervised_batch", jobs=len(self.leases)):
             self._prepare()
             yield from self._emit_ready()
@@ -476,7 +470,7 @@ class _Supervisor:
                 else:
                     yield from self._run_pooled()
 
-    def _emit_ready(self) -> Iterator[JobResult]:
+    def _emit_ready(self) -> Iterator[PlanResult]:
         """Yield the contiguous prefix of finished results (submission order)."""
         while self._emit_index < len(self.leases):
             lease = self.leases[self._emit_index]
@@ -499,7 +493,7 @@ class _Supervisor:
 
         return _sink
 
-    def _run_inline(self, degraded: bool) -> Iterator[JobResult]:
+    def _run_inline(self, degraded: bool) -> Iterator[PlanResult]:
         for lease in self.leases:
             if lease.state in ("done", "quarantined"):
                 pass
@@ -528,7 +522,7 @@ class _Supervisor:
     # ------------------------------------------------------------------ #
     # Pooled execution
     # ------------------------------------------------------------------ #
-    def _run_pooled(self) -> Iterator[JobResult]:
+    def _run_pooled(self) -> Iterator[PlanResult]:
         relay = EventRelay(self._observe)
         try:
             while True:
@@ -744,7 +738,7 @@ def iter_supervised(
     resume: bool = False,
     on_event: Callable[[PlanEvent], None] | None = None,
     pool: PlannerPool | None = None,
-) -> Iterator[JobResult]:
+) -> Iterator[PlanResult]:
     """Stream supervised results for ``jobs`` in submission order.
 
     The fault-tolerant sibling of :func:`repro.runtime.engine.iter_jobs`:
@@ -794,7 +788,7 @@ def run_supervised(
     resume: bool = False,
     on_event: Callable[[PlanEvent], None] | None = None,
     pool: PlannerPool | None = None,
-) -> list[JobResult]:
+) -> list[PlanResult]:
     """Run all jobs under supervision; results in submission order."""
     return list(
         iter_supervised(

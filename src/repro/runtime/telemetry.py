@@ -24,8 +24,8 @@ import time
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from repro.api.lifecycle import PlanResult
 from repro.io.serialization import canonical_json
-from repro.runtime.jobs import JobResult
 
 __all__ = ["Telemetry", "read_manifest", "summarize_manifest"]
 
@@ -85,29 +85,15 @@ class Telemetry:
         }
         return self._write(entry, extra)
 
-    def record(self, result: JobResult, **extra) -> dict:
-        """Log one job outcome; returns the record that was written."""
-        entry = {
-            "ts": time.time(),
-            "v": 1,
-            "record": "job",
-            "job_id": result.job_id,
-            "case": result.case,
-            "planner": result.planner,
-            "label": result.label,
-            "status": result.status,
-            "writing_time": result.writing_time,
-            "num_selected": result.num_selected,
-            "runtime_seconds": result.runtime_seconds,
-            "wall_seconds": result.wall_seconds,
-            "cache_hit": result.cache_hit,
-            "worker_pid": result.worker_pid,
-            "attempts": result.attempts,
-            "error": result.error,
-            # Planner-specific counters (LP iteration solve times, annealing
-            # engine, ...) ride along so manifests carry the full picture.
-            "extra": dict(result.extra),
-        }
+    def record(self, result: PlanResult, **extra) -> dict:
+        """Log one job outcome; returns the record that was written.
+
+        The record is the result's wire dict without its bulk (the plan and
+        the instance summary); planner counters in ``extra`` ride along so
+        manifests carry the full picture.
+        """
+        entry = {"ts": time.time(), "v": 1, "record": "job", **result.to_dict()}
+        del entry["plan"], entry["instance_summary"]
         return self._write(entry, extra)
 
     def summary(self) -> dict:

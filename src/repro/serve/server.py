@@ -58,7 +58,7 @@ from repro.api.lifecycle import PlanRequest, PlanResult
 from repro.errors import ValidationError
 from repro.events import PlanEvent
 from repro.obs import metrics as obs_metrics
-from repro.runtime.jobs import JobResult, PlannerSpec
+from repro.runtime.jobs import PlannerSpec
 from repro.runtime.pool import EventRelay, PlannerPool
 from repro.runtime.store import ResultStore
 from repro.serve.protocol import (
@@ -415,14 +415,8 @@ class PlanServer:
             from repro.runtime.portfolio import PortfolioOutcome
 
             return PortfolioOutcome(winner=None)
-        job = flight.job
-        return JobResult(
-            job_id=job.job_id,
-            case=job.case_name,
-            label=job.display_label,
-            planner=job.spec.planner,
-            status="cancelled",
-            error="server drained before the job ran",
+        return PlanResult.for_job(
+            flight.job, "cancelled", error="server drained before the job ran"
         )
 
     async def _teardown(self, registry) -> None:
@@ -593,14 +587,13 @@ class PlanServer:
             if cached is not None:
                 self._store_hits += 1
                 self._count(verb, "store_hit")
-                result = PlanResult.from_job_result(cached, timeout=request.timeout)
                 await conn.send(response_frame(
                     rid, "ack", job_id=job.job_id, state="done", outcome="store_hit", **extra
                 ))
                 await conn.send(response_frame(
-                    rid, "result", outcome="store_hit", result=result.to_dict(), **extra
+                    rid, "result", outcome="store_hit", result=cached.to_dict(), **extra
                 ))
-                return result.status
+                return cached.status
         flight = self._flights.get(job.job_id)
         if flight is not None:
             outcome = "coalesced"
@@ -651,11 +644,10 @@ class PlanServer:
             flight.waiters -= 1
             if channel is not None:
                 flight.channels.discard(channel)
-        plan_result = PlanResult.from_job_result(result, timeout=request.timeout)
         await conn.send(response_frame(
-            rid, "result", outcome=outcome, result=plan_result.to_dict(), **extra
+            rid, "result", outcome=outcome, result=result.to_dict(), **extra
         ))
-        return plan_result.status
+        return result.status
 
     async def _handle_batch(self, conn: _Connection, frame: Mapping) -> None:
         rid = frame.get("id")
@@ -727,13 +719,7 @@ class PlanServer:
             if channel is not None:
                 flight.channels.discard(channel)
         await conn.send(response_frame(
-            rid, "result", outcome="computed", portfolio={
-                "ok": outcome.ok,
-                "wall_seconds": outcome.wall_seconds,
-                "cancelled": list(outcome.cancelled),
-                "winner": outcome.winner.to_dict() if outcome.winner is not None else None,
-                "results": [r.to_dict() for r in outcome.results],
-            },
+            rid, "result", outcome="computed", portfolio=outcome.to_dict()
         ))
 
     @staticmethod

@@ -111,12 +111,6 @@ class TestSubmit:
         with pytest.raises(ValidationError, match="unknown option"):
             submit(request)
 
-    def test_timeout_recorded_on_result(self, small_1d_instance):
-        request = PlanRequest(
-            planner="greedy-1d", instance=small_1d_instance, timeout=45.0
-        )
-        assert submit(request).timeout == 45.0
-
 
 class TestBitIdenticalWithLegacyPaths:
     def test_facade_matches_direct_planner_1d(self):

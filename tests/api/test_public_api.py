@@ -71,7 +71,6 @@ RUNTIME_EXPORTS = sorted(
         "PlanJob",
         "PlannerSpec",
         "JobDescriptor",
-        "JobResult",
         "JobTimeoutError",
         "JobCancelledError",
         "execute_job",

@@ -9,7 +9,8 @@ import pytest
 from repro.dist import Broker, BrokerConfig, job_from_payload, job_payload
 from repro.errors import ValidationError
 from repro.runtime import JobJournal, PlannerSpec, ResultStore
-from repro.runtime.jobs import JobResult, PlanJob
+from repro.api import PlanResult
+from repro.runtime.jobs import PlanJob
 from repro.workloads import build_instance
 
 
@@ -18,18 +19,14 @@ def _job(case="1T-1", planner="greedy-1d", label="greedy"):
 
 
 def _ok_result(job, writing_time=100.0):
-    return JobResult(
-        job_id=job.job_id, case=job.case_name, label=job.display_label,
-        planner=job.spec.planner, status="ok", writing_time=writing_time,
+    return PlanResult.for_job(
+        job, "ok", writing_time=writing_time,
         num_selected=3, plan={"assignment": [0, 1], "stats": {"runtime_seconds": 0.1}},
     )
 
 
 def _failed_result(job, status="error"):
-    return JobResult(
-        job_id=job.job_id, case=job.case_name, label=job.display_label,
-        planner=job.spec.planner, status=status, error="injected",
-    )
+    return PlanResult.for_job(job, status, error="injected")
 
 
 class TestPayload:

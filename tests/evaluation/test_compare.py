@@ -2,34 +2,15 @@
 
 import pytest
 
-from repro.baselines import Greedy1DPlanner
-from repro.core.onedim import EBlow1DPlanner
-from repro.evaluation import (
-    AlgorithmResult,
-    format_comparison_table,
-    result_from_plan,
-    run_comparison,
-)
+from repro.evaluation import format_comparison_table, run_comparison
 
 
 @pytest.fixture
 def small_comparison(small_1d_instance, small_mcc_instance):
     return run_comparison(
         [small_1d_instance, small_mcc_instance],
-        {"greedy": Greedy1DPlanner, "e-blow": EBlow1DPlanner},
+        {"greedy": "greedy-1d", "e-blow": "eblow-1d"},
     )
-
-
-class TestResultFromPlan:
-    def test_fields(self, small_1d_instance):
-        plan = Greedy1DPlanner().plan(small_1d_instance)
-        result = result_from_plan(plan)
-        assert result.algorithm == "greedy-1d"
-        assert result.case == small_1d_instance.name
-        assert result.writing_time == plan.stats["writing_time"]
-        assert result.num_selected == plan.num_selected
-        round_trip = AlgorithmResult.from_dict(result.to_dict())
-        assert round_trip == result
 
 
 class TestRunComparison:
@@ -51,9 +32,7 @@ class TestRunComparison:
         assert small_comparison.ratios("nope") == {}
 
     def test_accepts_case_names(self):
-        comparison = run_comparison(
-            ["1T-1"], {"greedy": Greedy1DPlanner}, scale=1.0
-        )
+        comparison = run_comparison(["1T-1"], {"greedy": "greedy-1d"}, scale=1.0)
         assert comparison.rows[0].case == "1T-1"
 
     def test_to_dict_round_trips_json(self, small_comparison):

@@ -52,7 +52,7 @@ class TestPlanSerialization:
 
 class TestComparisonSerialization:
     def test_save_comparison_is_valid_json(self, tmp_path, small_1d_instance):
-        comparison = run_comparison([small_1d_instance], {"greedy": Greedy1DPlanner})
+        comparison = run_comparison([small_1d_instance], {"greedy": "greedy-1d"})
         path = save_comparison(comparison, tmp_path / "cmp.json")
         data = json.loads(path.read_text())
         assert data["rows"][0]["case"] == small_1d_instance.name
@@ -74,7 +74,7 @@ class TestAtomicWrites:
     def test_save_plan_and_comparison_create_parents(self, tmp_path, small_1d_instance):
         plan = Greedy1DPlanner().plan(small_1d_instance)
         assert save_plan(plan, tmp_path / "x" / "plan.json").exists()
-        comparison = run_comparison([small_1d_instance], {"greedy": Greedy1DPlanner})
+        comparison = run_comparison([small_1d_instance], {"greedy": "greedy-1d"})
         assert save_comparison(comparison, tmp_path / "y" / "cmp.json").exists()
 
 

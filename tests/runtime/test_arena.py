@@ -121,6 +121,8 @@ class TestIdentityStability:
                 assert rebuilt.instance_hash == job.instance_hash
                 assert rebuilt.config_hash == job.config_hash
                 assert store.path_for(rebuilt) == store.path_for(job)
+                assert desc.case_name == rebuilt.case_name == job.case_name
+                assert desc.display_label == job.display_label
 
     def test_arena_digest_equals_inline_job_instance_hash(self):
         instance = build_instance("1T-4", 1.0)
@@ -251,10 +253,16 @@ class TestLifecycle:
             instance_hash="0" * 64,
             config_hash="1" * 64,
             job_id="deadbeef",
+            case_name="gone-instance",
         )
         results = _pool_worker_chunk([bad, good.describe()])
         assert results[0].status == "error"
         assert "rebuild" in results[0].error
+        # The failure is reported under the job's own identity.
+        assert results[0].job_id == "deadbeef"
+        assert results[0].case == "gone-instance"
+        assert results[0].label == "bad"
+        assert results[0].planner == "greedy-1d"
         assert results[1].ok  # the sibling's completed result survives
 
     def test_failed_export_leaves_no_segment(self, monkeypatch):

@@ -4,10 +4,10 @@ import time
 
 import pytest
 
+from repro.api import PlanResult
 from repro.errors import ValidationError
 from repro.model import StencilPlan
 from repro.runtime import (
-    JobResult,
     PlanJob,
     PlannerSpec,
     execute_job,
@@ -104,8 +104,22 @@ class TestExecuteJob:
         assert result.num_selected > 0
         assert result.plan is not None and result.plan["row_placements"]
         assert result.instance_summary["kind"] == "1D"
-        plan = result.to_plan(job.resolve_instance())
+        plan = result.plan_object(job.resolve_instance())
         plan.validate()
+
+    def test_result_condenses_the_plan(self):
+        job = PlanJob(spec=PlannerSpec("eblow-1d"), case="1T-1", scale=1.0)
+        result = execute_job(job)
+        stats = result.stats
+        assert result.label == "eblow-1d"  # no label: the planner name
+        assert result.case == "1T-1"
+        assert result.writing_time == stats["writing_time"]
+        assert result.num_selected == stats["num_selected"]
+        assert result.runtime_seconds == stats["runtime_seconds"]
+        # extra keeps the planner counters and drops the bulky diagnostics.
+        assert {"lp_iterations", "stage_seconds", "post_swaps"} <= set(result.extra)
+        assert "unsolved_history" not in result.extra
+        assert result.extra == {k: v for k, v in stats.items() if k in result.extra}
 
     def test_wrong_kind_is_error_not_exception(self):
         job = PlanJob(spec=PlannerSpec("eblow-2d"), case="1T-1", scale=1.0)
@@ -128,10 +142,10 @@ class TestExecuteJob:
     def test_result_round_trips_through_dict(self):
         job = PlanJob(spec=PlannerSpec("greedy-1d"), case="1T-1", scale=1.0)
         result = execute_job(job)
-        again = JobResult.from_dict(result.to_dict())
+        again = PlanResult.from_dict(result.to_dict())
         assert again.writing_time == result.writing_time
         assert again.plan == result.plan
-        assert again.to_algorithm_result().algorithm == result.label
+        assert again.label == result.label
 
 
 class TestDeterministicMode:

@@ -1,19 +1,22 @@
 """Portfolio racing: best-by-writing-time winner, budgets, cache interplay."""
 
+import json
 import time
 
 import pytest
 
+from repro.api import PlanResult
 from repro.errors import ValidationError
 from repro.runtime import (
     PlannerSpec,
+    PortfolioOutcome,
     ResultStore,
     Telemetry,
     execute_job,
     register_planner,
     run_portfolio,
 )
-from repro.runtime.jobs import JobResult, PlanJob
+from repro.runtime.jobs import PlanJob
 
 _1D_ENTRIES = {
     "greedy": PlannerSpec("greedy-1d"),
@@ -259,8 +262,8 @@ def test_promising_requires_fresh_incumbents():
 
     race = _Race(target=None)
     race.take(
-        JobResult(job_id="w", case="c", label="win", planner="p", status="ok",
-                  writing_time=100.0)
+        PlanResult(job_id="w", case="c", label="win", planner="p", status="ok",
+                   writing_time=100.0)
     )
     race.observe(PlanEvent(type="incumbent", payload={"label": "s", "cost": 50.0}))
     assert race.promising("s", freshness=5.0)          # fresh and better
@@ -292,3 +295,24 @@ def test_observe_keeps_best_cost_with_latest_timestamp():
     assert race.incumbents["b"][0] == 10.0
     race.observe(PlanEvent(type="incumbent", payload={"label": "b", "cost": float("nan")}))
     assert race.incumbents["b"][0] == 10.0  # non-finite reports are ignored
+
+
+def test_outcome_to_dict_is_the_portfolio_wire_shape():
+    winner = PlanResult(job_id="w", case="c", label="win", planner="p", status="ok",
+                        writing_time=100.0)
+    loser = PlanResult(job_id="l", case="c", label="lose", planner="p", status="error",
+                       error="boom")
+    outcome = PortfolioOutcome(
+        winner=winner, results=[winner, loser], cancelled=["slow"], wall_seconds=1.5
+    )
+    data = outcome.to_dict()
+    assert data == {
+        "ok": True,
+        "wall_seconds": 1.5,
+        "cancelled": ["slow"],
+        "winner": winner.to_dict(),
+        "results": [winner.to_dict(), loser.to_dict()],
+    }
+    assert json.loads(json.dumps(data)) == data
+    empty = PortfolioOutcome(winner=None).to_dict()
+    assert empty["ok"] is False and empty["winner"] is None and empty["results"] == []

@@ -164,7 +164,6 @@ class TestLabelRebinding:
         cached = store.get(reader)
         assert cached is not None
         assert cached.label == "e-blow-1"
-        assert cached.to_algorithm_result().algorithm == "e-blow-1"
 
 
 class TestPrune:

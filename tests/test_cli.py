@@ -171,6 +171,17 @@ def test_portfolio_cli_picks_a_winner(tmp_path, capsys):
     assert plan_out.exists()
 
 
+def test_portfolio_cli_json_is_the_outcome_dict(capsys):
+    rc = main(
+        ["portfolio", "--case", "1T-1", "--scale", "1.0", "--jobs", "1", "--no-cache", "--json"]
+    )
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data) == {"ok", "wall_seconds", "cancelled", "winner", "results"}
+    assert data["ok"] is True
+    assert data["winner"]["label"] in {r["label"] for r in data["results"]}
+
+
 def test_cache_stats_and_clear(tmp_path, capsys):
     cache = tmp_path / "cache"
     main(
